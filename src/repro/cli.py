@@ -356,7 +356,11 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--query", "-e", default=None,
                         help="run one query and exit")
     parser.add_argument("--strategy", default="basic",
-                        choices=["udf", "basic", "ll"])
+                        choices=["udf", "basic", "ll"],
+                        help="evaluation strategy (default basic: "
+                             "the CLI keeps the iterative evaluator, "
+                             "while Database.query picks ll per query "
+                             "when it can)")
     parser.add_argument("--kernel", default=DEFAULT_KERNEL,
                         choices=list(SUPPORTED_KERNELS),
                         help="StandOff join kernel (vectorized = batched "

@@ -6,8 +6,8 @@ records its source position for error messages.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Iterator, Optional
 
 # ----------------------------------------------------------------------
 # prolog
@@ -253,3 +253,27 @@ class ElementConstructor(Expr):
 class TextConstructor(Expr):
     parts: list = field(default_factory=list)    # str | Expr
     pos: int = 0
+
+
+# ----------------------------------------------------------------------
+# traversal
+# ----------------------------------------------------------------------
+
+def children(node) -> Iterator:
+    """The direct sub-nodes of an AST node, in field order (list fields
+    flattened; literal strings of constructor content skipped)."""
+    for f in fields(node):
+        value = getattr(node, f.name)
+        if isinstance(value, list):
+            for item in value:
+                if is_dataclass(item):
+                    yield item
+        elif is_dataclass(value):
+            yield value
+
+
+def walk(node) -> Iterator:
+    """Pre-order walk over *node* and every node beneath it."""
+    yield node
+    for child in children(node):
+        yield from walk(child)

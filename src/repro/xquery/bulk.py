@@ -13,9 +13,11 @@ body sees the context nodes of **all** iterations at once:
 
 This evaluator covers the full query subset except user-defined
 functions (which are the paper's *measured baseline* and therefore stay
-on the iterative engine); calling one under the loop-lifted strategy
-raises :class:`~repro.errors.UnsupportedFeatureError`.  ``order by``
-and quantifiers are loop-lifted like everything else.
+on the iterative engine) and primary expressions as non-initial path
+steps; either raises :class:`~repro.errors.UnsupportedFeatureError`
+under the loop-lifted strategy, and :func:`liftable` predicts which
+queries do.  ``order by``, quantifiers and node comparisons are
+loop-lifted like everything else.
 """
 
 from __future__ import annotations
@@ -59,8 +61,10 @@ from repro.xquery.axes import (
 )
 from repro.xquery.context import DynamicContext, Focus
 from repro.xquery.evaluator import (
+    _NODE_OPS,
     _copy_node,
     _filter_by_predicate,
+    _node_compare,
     _renumber_fragment,
 )
 from repro.xquery.functions import lookup_builtin
@@ -214,9 +218,13 @@ def _bulk_range(expr: ast.RangeExpr, env: BulkEnv) -> IterSeq:
 
 def _bulk_if(expr: ast.IfExpr, env: BulkEnv) -> IterSeq:
     condition = eval_bulk(expr.condition, env)
-    true_loop = [it for it in env.loop
-                 if effective_boolean_value(condition.items_for(it))]
-    false_loop = [it for it in env.loop if it not in set(true_loop)]
+    true_loop: Loop = []
+    false_loop: Loop = []
+    for it in env.loop:
+        if effective_boolean_value(condition.items_for(it)):
+            true_loop.append(it)
+        else:
+            false_loop.append(it)
     out: dict[int, list] = {}
     if true_loop:
         then_val = eval_bulk(expr.then, env.child(loop=true_loop))
@@ -271,6 +279,9 @@ def _bulk_binary(expr: ast.BinaryOp, env: BulkEnv) -> IterSeq:
                 return document_order([n for n in a if id(n) in ids])
             return document_order([n for n in a if id(n) not in ids])
         return _per_iter(env, [left, right], setop)
+    if op in _NODE_OPS:
+        return _per_iter(env, [left, right],
+                         lambda a, b: _node_compare(op, a, b))
     raise UnsupportedFeatureError(
         f"operator {op!r} is not supported loop-lifted")
 
@@ -474,7 +485,7 @@ def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
 
     axis_fn = AXIS_FUNCTIONS[step.axis]
     reverse = step.axis in REVERSE_AXES
-    scope = env.ctx.child_scope()
+    bind = _predicate_scope(env, step.predicates)
     out: dict[int, list] = {}
     for it in env.loop:
         # Cancellation checkpoint: the per-iteration DOM-walk fallback is
@@ -483,6 +494,7 @@ def _bulk_standard_axis(step: ast.AxisStep, env: BulkEnv,
         nodes = context.items_for(it)
         if not nodes:
             continue
+        scope = bind(it)
         collected: list[Node] = []
         for node in nodes:
             if not isinstance(node, Node):
@@ -1051,15 +1063,36 @@ def _staircase_positional_step(step: ast.AxisStep, env: BulkEnv,
                     for it, nodes in collected.items()})
 
 
+def _predicate_scope(env: BulkEnv, predicates: list):
+    """A binder ``it -> scope`` for predicates evaluated per item.
+
+    Predicates run on the iterative evaluator, which reads variables
+    from its scope; the loop-lifted variables a predicate mentions are
+    unlifted into one shared scope, iteration by iteration.
+    """
+    scope = env.ctx.child_scope()
+    names = {node.name for predicate in predicates
+             for node in ast.walk(predicate)
+             if isinstance(node, ast.VarRef) and node.name in env.variables}
+
+    def bind(it: int) -> DynamicContext:
+        for name in names:
+            scope.variables[name] = env.variables[name].items_for(it)
+        return scope
+
+    return bind
+
+
 def _bulk_predicates_whole(seq: IterSeq, predicates: list,
                            env: BulkEnv) -> IterSeq:
     """Apply predicates per iteration over the whole result sequence."""
     if not predicates:
         return seq
-    scope = env.ctx.child_scope()
+    bind = _predicate_scope(env, predicates)
     out: dict[int, list] = {}
     for it in env.loop:
         items = seq.items_for(it)
+        scope = bind(it)
         for predicate in predicates:
             if not items:
                 break
@@ -1144,6 +1177,32 @@ def _bulk_text_ctor(expr: ast.TextConstructor, env: BulkEnv) -> IterSeq:
                                        for v in values))
         out[it] = [Text("".join(chunks))]
     return IterSeq(out)
+
+
+def liftable(module: ast.Module) -> bool:
+    """Whether :func:`evaluate_module_bulk` covers *module*.
+
+    The static counterpart of the evaluator's
+    :class:`~repro.errors.UnsupportedFeatureError` cases: declared
+    functions, and a primary expression as a non-initial path step
+    (any step of an absolute path).  Predicates are skipped — they
+    always run on the iterative evaluator.  ``Database.compile``
+    caches the verdict with the plan; it picks the default strategy.
+    """
+    return not module.prolog.functions and all(
+        _lifts(node) for node in (*module.prolog.variables, module.body))
+
+
+def _lifts(node) -> bool:
+    if isinstance(node, ast.AxisStep):
+        return True
+    if isinstance(node, ast.FilterExpr):
+        return _lifts(node.base)
+    if isinstance(node, ast.PathExpr) and any(
+            isinstance(step, ast.FilterExpr)
+            for step in node.steps[0 if node.absolute else 1:]):
+        return False
+    return all(_lifts(child) for child in ast.children(node))
 
 
 _DISPATCH = {

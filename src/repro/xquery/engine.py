@@ -13,6 +13,18 @@ paper's three evaluation strategies (§4.6):
                  in a for-loop becomes a *single* Loop-Lifted StandOff
                  MergeJoin call.
 
+``udf`` and ``basic`` are the paper's comparison strategies and the test
+oracles.  Left unspecified, the strategy is chosen once per compiled
+plan: ``ll`` when the loop-lifted evaluator covers the query
+(:func:`repro.xquery.bulk.liftable`: no declared functions and no
+primary expression as a non-initial path step), ``basic`` otherwise.
+
+Compilation parses the text and applies the rewrites of
+:mod:`repro.xquery.rewrite` — ``//x`` becomes one ``descendant::x`` step
+whenever its predicates are non-positional — so every strategy,
+:meth:`Database.explain` and the serve admission classifier see the
+same plan.
+
 Example::
 
     db = Database()
@@ -24,6 +36,7 @@ Example::
 from __future__ import annotations
 
 from collections import OrderedDict
+from typing import NamedTuple
 
 from repro.config import (
     DEFAULT_KERNEL,
@@ -40,8 +53,12 @@ from repro.core.steps import Strategy
 from repro.errors import XQueryTypeError
 from repro.xmldb.dom import Node
 from repro.xmldb.store import DocumentStore, StoredDocument
+from repro.xquery import ast
+from repro.xquery.bulk import evaluate_module_bulk, liftable
 from repro.xquery.context import DynamicContext, Focus, StaticContext
+from repro.xquery.evaluator import evaluate_module
 from repro.xquery.parser import parse
+from repro.xquery.rewrite import rewrite_module
 from repro.xquery.values import atomic_to_string
 
 _STRATEGIES = {
@@ -50,6 +67,17 @@ _STRATEGIES = {
     "ll": Strategy.LOOP_LIFTED,
     "looplifted": Strategy.LOOP_LIFTED,
 }
+
+
+class Plan(NamedTuple):
+    """A compiled query: what :meth:`Database.compile` returns and the
+    plan cache holds."""
+
+    module: ast.Module
+    static: StaticContext
+    #: The strategy ``Database.query(strategy=None)`` runs this plan
+    #: under: ``"ll"`` when loop-liftable, else ``"basic"``.
+    strategy: str
 
 
 class QueryResult(list):
@@ -72,12 +100,12 @@ class QueryResult(list):
 
 
 class PlanCache:
-    """Cross-query LRU of compiled plans: parsed module + static
-    context, keyed on (query text, static-context fingerprint).
+    """Cross-query LRU of compiled plans (:class:`Plan`), keyed on
+    (query text, static-context fingerprint).
 
-    The parser is pure and the evaluators never mutate the AST or the
-    static context, so a compiled plan is reusable verbatim — parse
-    once, evaluate many.  ``max_entries == 0`` (env
+    Compilation is deterministic and the evaluators never mutate the
+    AST or the static context, so a compiled plan is reusable verbatim
+    — compile once, evaluate many.  ``max_entries == 0`` (env
     ``REPRO_PLAN_CACHE=0``) disables caching; only failed compilations
     are never cached (static errors re-raise on re-parse).
     """
@@ -185,23 +213,25 @@ class Database:
         return merged
 
     def compile(self, text: str, *,
-                session_options: dict[str, str] | None = None):
-        """Parse *text* (or fetch it from the plan cache).
+                session_options: dict[str, str] | None = None) -> Plan:
+        """Parse and rewrite *text* (or fetch it from the plan cache).
 
-        Returns the ``(module, static_context)`` plan without
-        evaluating it — the admission-control estimator in
-        :mod:`repro.serve` uses this to inspect a query's shape before
-        running it, and the work is never wasted: the compiled plan is
-        cached, so the subsequent :meth:`query` call hits.
+        Returns the :class:`Plan` without evaluating it — the
+        admission-control estimator in :mod:`repro.serve` uses this to
+        inspect a query's shape before running it, and the work is
+        never wasted: the compiled plan is cached, so the subsequent
+        :meth:`query` call hits.
         """
         fingerprint = self._static_fingerprint(session_options)
         plan = self.plan_cache.get(text, fingerprint)
         if plan is None:
             module = parse(text)
+            rewrite_module(module)
             static = StaticContext.from_prolog(
                 module.prolog,
                 option_defaults=self._merged_options(session_options))
-            plan = (module, static)
+            plan = Plan(module, static,
+                        "ll" if liftable(module) else "basic")
             self.plan_cache.put(text, plan, fingerprint)
         return plan
 
@@ -250,7 +280,7 @@ class Database:
 
     # -- querying -----------------------------------------------------------
 
-    def query(self, text: str, *, strategy: str = "basic",
+    def query(self, text: str, *, strategy: str | None = None,
               active_structure: str = "list",
               pushdown: str = "always",
               kernel: str = DEFAULT_KERNEL,
@@ -265,7 +295,15 @@ class Database:
         """Parse and evaluate a query.
 
         :param text: the XQuery text (prolog + body).
-        :param strategy: ``udf`` | ``basic`` | ``ll`` (see module docs).
+        :param strategy: ``udf`` | ``basic`` | ``ll`` (see module
+            docs), or ``None`` (the default) for the plan's own choice:
+            ``ll`` when the loop-lifted evaluator covers the compiled
+            query, ``basic`` otherwise (:attr:`Plan.strategy`, decided
+            once per plan).  An explicit ``ll`` on a query outside the
+            loop-lifted subset raises
+            :class:`~repro.errors.UnsupportedFeatureError`; there is no
+            silent fallback.  Every strategy runs the rewritten plan
+            (``//x`` as one ``descendant::x`` step where legal).
         :param active_structure: merge-join active-items structure
             (``list`` or ``heap``, §5 ablation).
         :param pushdown: name-test pushdown policy for StandOff steps —
@@ -302,14 +340,13 @@ class Database:
             part of the plan-cache key, so sessions with different
             static contexts share the cache without collisions.
         """
-        try:
-            strat = _STRATEGIES[strategy]
-        except KeyError:
+        if strategy is not None and strategy not in _STRATEGIES:
             raise ValueError(
                 f"unknown strategy {strategy!r}; expected one of "
-                f"{sorted(_STRATEGIES)}") from None
-        module, static = self.compile(text,
-                                      session_options=session_options)
+                f"{sorted(_STRATEGIES)}")
+        module, static, default = self.compile(
+            text, session_options=session_options)
+        strat = _STRATEGIES[default if strategy is None else strategy]
         if pushdown not in ("always", "never", "auto"):
             raise ValueError(
                 f"unknown pushdown policy {pushdown!r}; expected "
@@ -334,11 +371,7 @@ class Database:
             ctx.focus = Focus(root, 1, 1)
 
         if strat is Strategy.LOOP_LIFTED:
-            from repro.xquery.bulk import evaluate_module_bulk
-
             return QueryResult(evaluate_module_bulk(module, ctx))
-        from repro.xquery.evaluator import evaluate_module
-
         return QueryResult(evaluate_module(module, ctx))
 
     # -- updates ------------------------------------------------------------
@@ -404,9 +437,13 @@ class Database:
             self.store.touch(uri)
         return deleted
 
-    def explain(self, text: str) -> str:
-        """Parse a query and render its AST (debugging aid)."""
-        module = parse(text)
+    def explain(self, text: str, *,
+                session_options: dict[str, str] | None = None) -> str:
+        """Render the plan :meth:`compile` returns for *text*: the
+        strategy the default resolves to and the rewritten AST
+        (debugging aid; hits the plan cache)."""
         import pprint
 
-        return pprint.pformat(module, width=100)
+        plan = self.compile(text, session_options=session_options)
+        return (f"strategy: {plan.strategy}\n"
+                + pprint.pformat(plan.module, width=100))

@@ -135,6 +135,7 @@ def _eval_quantified(expr: ast.Quantified, ctx: DynamicContext) -> Sequence:
 _GENERAL_OPS = {"=", "!=", "<", "<=", ">", ">="}
 _VALUE_OPS = {"eq", "ne", "lt", "le", "gt", "ge"}
 _ARITH_OPS = {"+", "-", "*", "div", "idiv", "mod"}
+_NODE_OPS = {"is", "<<", ">>"}
 
 
 def _eval_binary(expr: ast.BinaryOp, ctx: DynamicContext) -> Sequence:
@@ -158,20 +159,23 @@ def _eval_binary(expr: ast.BinaryOp, ctx: DynamicContext) -> Sequence:
         return arithmetic(left, right, op)
     if op in ("union", "intersect", "except"):
         return _node_set_op(op, left, right)
-    if op == "is":
-        a = _single_node_or_none(left, "'is'")
-        b = _single_node_or_none(right, "'is'")
-        if a is None or b is None:
-            return []
-        return [a is b]
-    if op in ("<<", ">>"):
-        a = _single_node_or_none(left, op)
-        b = _single_node_or_none(right, op)
-        if a is None or b is None:
-            return []
-        before = a.sort_key() < b.sort_key()
-        return [before if op == "<<" else not before]
+    if op in _NODE_OPS:
+        return _node_compare(op, left, right)
     raise UnsupportedFeatureError(f"operator {op!r} not supported")
+
+
+def _node_compare(op: str, left: Sequence, right: Sequence) -> Sequence:
+    """``is`` (identity) and ``<<``/``>>`` (document order) over
+    single-node operands; empty when either operand is empty."""
+    what = "'is'" if op == "is" else op
+    a = _single_node_or_none(left, what)
+    b = _single_node_or_none(right, what)
+    if a is None or b is None:
+        return []
+    if op == "is":
+        return [a is b]
+    before = a.sort_key() < b.sort_key()
+    return [before if op == "<<" else not before]
 
 
 def _single_node_or_none(seq: Sequence, what: str) -> Node | None:

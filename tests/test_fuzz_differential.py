@@ -33,7 +33,9 @@ from repro.config import (
     KERNEL_VECTORIZED,
     WORKERS_SERIAL,
 )
+from repro.errors import UnsupportedFeatureError
 from repro.xquery import Database
+from repro.xquery.bulk import liftable
 
 TAGS = ("a", "b", "c", "d")
 
@@ -97,6 +99,42 @@ def random_step(rng: random.Random) -> str:
     return step
 
 
+#: Predicate classes for a ``//`` step.  The first group is provably
+#: non-positional (comparisons, ``and``/``or``, paths, node
+#: comparisons — a nested ``b[2]`` counts b's, not the step's), so
+#: ``//x[p]`` compiles to ``descendant::x[p]``; the second group
+#: (numbers, ``last()``, ``position()``, a numeric variable) must keep
+#: the two-step form.
+DESCENDANT_PREDICATES = (
+    "", '[@i = "{d}"]', "[@i != {d}]", '[@i eq "{d}"]',
+    "[{tag} and @i]", "[@j or {tag}]", "[{tag}]", "[@i]", "[.//{tag}]",
+    "[count({tag}) >= 1]", "[{tag}[2]]", "[. is ../{tag}[1]]",
+    "[. >> ../*[1]]",
+    "[1]", "[2]", "[last()]", "[position() < 3]", "[$n]",
+)
+
+
+def random_descendant_query(rng: random.Random) -> str:
+    """A query with ``//`` steps carrying one predicate class each;
+    one in five ends in a primary expression step (``/string(@i)``),
+    which only the iterative evaluator covers."""
+    def descendant_step() -> str:
+        test = rng.choice((*TAGS, "*", "node()", "text()", "@i"))
+        predicate = rng.choice(DESCENDANT_PREDICATES).format(
+            tag=rng.choice(TAGS), d=rng.randrange(9))
+        return f"//{test}{predicate}"
+
+    path = 'doc("f.xml")' + rng.choice(("", "/r", "//*")) + "".join(
+        descendant_step() for _ in range(rng.randrange(1, 3)))
+    if rng.random() < 0.3:
+        path += "/" + random_step(rng)
+    if rng.random() < 0.2:
+        path += "/string(@i)"
+    if rng.random() < 0.5:
+        return f"for $n in (1, 2) return {path}"
+    return f"declare variable $n := 2; {path}"
+
+
 def random_query(rng: random.Random) -> str:
     steps = "/".join(random_step(rng)
                      for _ in range(rng.randrange(1, 4)))
@@ -112,13 +150,25 @@ def random_query(rng: random.Random) -> str:
 # the oracle check
 # ----------------------------------------------------------------------
 
-def assert_engine_matches_oracle(seed: int, n_queries: int) -> None:
+def assert_engine_matches_oracle(seed: int, n_queries: int,
+                                 unrewritten, generate=None) -> None:
+    """Every path — explicit ``basic``, the default ``db.query(q)`` and
+    ``ll`` under each kernel × workers setting — must serialize like
+    the *unrewritten* oracle; queries the loop-lifted evaluator does not
+    cover must raise under an explicit ``ll``."""
     rng = random.Random(seed)
     db = Database()
     db.add_document("f.xml", random_xml(rng))
     for _ in range(n_queries):
-        query = random_query(rng)
-        oracle = db.query(query, strategy="basic").serialize()
+        query = (generate or random_query)(rng)
+        oracle = unrewritten(db, query)
+        assert db.query(query, strategy="basic").serialize() == oracle, \
+            (seed, query)
+        assert db.query(query).serialize() == oracle, (seed, query)
+        if not liftable(db.compile(query).module):
+            with pytest.raises(UnsupportedFeatureError):
+                db.query(query, strategy="ll")
+            continue
         for kernel in KERNELS_UNDER_TEST:
             for workers in WORKERS_UNDER_TEST:
                 got = db.query(query, strategy="ll", kernel=kernel,
@@ -128,8 +178,57 @@ def assert_engine_matches_oracle(seed: int, n_queries: int) -> None:
 
 
 @pytest.mark.parametrize("seed", range(5000, 5008))
-def test_fuzz_engine_vs_dom_walk(seed):
-    assert_engine_matches_oracle(seed, n_queries=3)
+def test_fuzz_engine_vs_dom_walk(seed, unrewritten):
+    assert_engine_matches_oracle(seed, 3, unrewritten)
+
+
+@pytest.mark.parametrize("seed", range(5100, 5108))
+def test_fuzz_descendant_rewrite(seed, unrewritten):
+    """``//`` steps with every predicate class: the compiled (rewritten)
+    plan on every path against the raw parse."""
+    assert_engine_matches_oracle(seed, 4, unrewritten,
+                                 random_descendant_query)
+
+
+def test_liftable_agrees_with_the_evaluator():
+    """Across the fuzz corpus, ``liftable`` is False exactly when the
+    loop-lifted evaluator raises UnsupportedFeatureError — so the
+    default strategy never picks ``ll`` for a query it cannot run."""
+    from repro.core.steps import Strategy
+    from repro.xquery.bulk import evaluate_module_bulk
+    from repro.xquery.context import DynamicContext, StaticContext
+    from repro.xquery.parser import parse
+
+    corpus = []
+    for seeds, generate in ((range(5000, 5008), random_query),
+                            (range(5100, 5108), random_descendant_query)):
+        for seed in seeds:
+            rng = random.Random(seed)
+            xml = random_xml(rng)
+            corpus += [(xml, generate(rng)) for _ in range(4)]
+    corpus += [(xml, query) for query in (
+        'declare function f($x) { $x }; f(1)',
+        'declare variable $v := doc("f.xml")/r/count(.); $v',
+        'doc("f.xml")//a[./string() = "t"]',
+        '(doc("f.xml")/r, 1)[1]/a',
+        'for $x in doc("f.xml")//a return $x/(b, c)',
+    )]
+    lifted = 0
+    for xml, query in corpus:
+        db = Database()
+        db.add_document("f.xml", xml)
+        module = parse(query)
+        ctx = DynamicContext(db.store,
+                             StaticContext.from_prolog(module.prolog),
+                             Strategy.LOOP_LIFTED)
+        try:
+            evaluate_module_bulk(module, ctx)
+            raised = False
+        except UnsupportedFeatureError:
+            raised = True
+        assert liftable(module) is not raised, query
+        lifted += not raised
+    assert 0 < lifted < len(corpus)
 
 
 def test_fuzz_standoff_joins(seed=7100):
