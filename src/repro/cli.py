@@ -36,7 +36,9 @@ instead of the REPL::
 
 Each request is one JSON object per line (``{"op": "query", "query":
 ..., "id": ...}``); responses may arrive out of order and echo the
-request ``id``.
+request ``id``.  SIGINT or SIGTERM stops the server: queries still
+running are cancelled, ``shutting down`` is printed and the exit
+status is 0.
 """
 
 from __future__ import annotations
@@ -307,8 +309,10 @@ class CliSession:
 def run_serve(session: CliSession, *, host: str, port: int,
               timeout: float | None,
               store_path: str | None = None) -> int:
-    """Serve the session's database over TCP until interrupted."""
+    """Serve the session's database over TCP until SIGINT or SIGTERM;
+    queries still running then are cancelled, and the exit status is 0."""
     import asyncio
+    import signal
 
     from repro.serve import QueryServer, serve
 
@@ -325,21 +329,26 @@ def run_serve(session: CliSession, *, host: str, port: int,
     # preforked process pool can warm-map it in every worker.
     server.store_path = store_path
 
-    async def _serve_forever() -> None:
+    async def _serve_until_signalled() -> None:
         tcp = await serve(server, host=host, port=port)
         bound = tcp.sockets[0].getsockname()
+        stop = asyncio.Event()
+        loop = asyncio.get_running_loop()
+        # Installed explicitly (not left to asyncio.run's KeyboardInterrupt
+        # path): SIGTERM counts too, and a server started with SIGINT
+        # ignored, as background shell jobs are, still stops on it.
+        for signum in (signal.SIGINT, signal.SIGTERM):
+            loop.add_signal_handler(signum, stop.set)
         print(f"serving on {bound[0]}:{bound[1]}", flush=True)
         try:
-            await tcp.serve_forever()
+            await stop.wait()
+            print("shutting down", flush=True)
         finally:
             tcp.close()
-            await tcp.wait_closed()
+            # Cancels the in-flight queries instead of waiting for them.
             await server.stop()
 
-    try:
-        asyncio.run(_serve_forever())
-    except KeyboardInterrupt:
-        print("shutting down", flush=True)
+    asyncio.run(_serve_until_signalled())
     return 0
 
 

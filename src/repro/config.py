@@ -500,17 +500,22 @@ class StandoffConfig:
         """Convert attribute/element text to a position value.
 
         :raises RegionError: if the text is not a valid literal of the
-            configured position type.
+            configured position type, or an integer outside the 64-bit
+            range the region columns hold.
         """
         text = text.strip()
         try:
-            if self.integral_positions:
-                return int(text)
-            return float(text)
+            if not self.integral_positions:
+                return float(text)
+            position = int(text)
         except ValueError:
             raise RegionError(
                 f"cannot parse {text!r} as {self.position_type}"
             ) from None
+        if not -2**63 <= position < 2**63:
+            raise RegionError(
+                f"position {text!r} does not fit a 64-bit integer")
+        return position
 
     @classmethod
     def from_options(cls, options: dict[str, str]) -> "StandoffConfig":

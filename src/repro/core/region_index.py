@@ -173,8 +173,14 @@ class RegionIndex:
     """A per-document region index with incremental build and lookups.
 
     Mirrors the paper's design: one index per XML document (fragment),
-    clustered on ``start``.  Built once after shredding; immutable
-    afterwards (rebuild to update — MonetDB/XQuery semantics for 0.10).
+    clustered on ``start``.  Built once after shredding and immutable
+    afterwards: a write to the document publishes a *new* index spliced
+    from this one (rows of removed elements dropped, surviving ids
+    shifted to their new pre ranks, rows of the inserted subtrees
+    added; see :meth:`repro.xmldb.store.StoredDocument.apply`), so a
+    reader holding this one keeps a consistent table.  Only a write
+    that changes a region reaching outside the written subtrees drops
+    the index for a lazy rebuild.
     """
 
     #: ``(store path, uri)`` when the table columns are mmap views of a

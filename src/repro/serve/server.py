@@ -184,6 +184,10 @@ class QueryServer:
         self._heavy_lane: asyncio.Semaphore | None = None
         self._in_flight = 0
         self._heavy_in_flight = 0
+        #: cancel tokens of the queries running on the dispatch pool
+        self._tokens: set[CancelToken] = set()
+        #: open client connections: writer -> its handler task
+        self._connections: dict[asyncio.StreamWriter, asyncio.Task] = {}
         #: serving counters (mutated only on the event-loop thread)
         self.stats: dict[str, int] = {
             "submitted": 0, "completed": 0, "errors": 0,
@@ -225,13 +229,30 @@ class QueryServer:
         return self
 
     async def stop(self) -> None:
-        """Tear down the dispatch pool (in-flight queries finish)."""
+        """Tear down the dispatch pool.
+
+        In-flight queries are cancelled through their cancel tokens
+        (they unwind at their next cancellation checkpoint and answer
+        ``server shutting down``), queued ones never start, and the
+        dispatch threads are joined — so a stop never waits for a long
+        query to finish.  Then the open client connections are closed
+        and their handlers finish normally (none is left for the event
+        loop to cancel mid-read).
+        """
         threads, self._threads = self._threads, None
         self._admission = None
         self._heavy_lane = None
+        for token in self._tokens:
+            token.cancel()
         if threads is not None:
             await asyncio.get_running_loop().run_in_executor(
-                None, partial(threads.shutdown, wait=True))
+                None, partial(threads.shutdown, wait=True,
+                              cancel_futures=True))
+        handlers = list(self._connections.values())
+        for writer in list(self._connections):
+            writer.close()
+        if handlers:
+            await asyncio.wait(handlers)
 
     async def __aenter__(self) -> "QueryServer":
         return await self.start()
@@ -299,11 +320,15 @@ class QueryServer:
                         lane: str) -> ServeResult:
         effective = self.default_timeout if timeout is None \
             else float(timeout)
+        if not self.started:
+            # admitted while the server stopped
+            raise QueryCancelled("server shutting down")
         token = CancelToken.after(effective if effective > 0 else None)
         loop = asyncio.get_running_loop()
         future = loop.run_in_executor(
             self._threads,
             partial(self._evaluate, text, token, session_options, lane))
+        self._tokens.add(token)
         try:
             result = await asyncio.shield(future)
         except asyncio.CancelledError:
@@ -317,12 +342,17 @@ class QueryServer:
             self.stats["cancelled"] += 1
             raise
         except QueryCancelled:
+            if not self.started:
+                self.stats["cancelled"] += 1
+                raise QueryCancelled("server shutting down") from None
             self.stats["timeouts"] += 1
             raise QueryTimeout(
                 f"query exceeded its {effective:g}s timeout") from None
         except BaseException:
             self.stats["errors"] += 1
             raise
+        finally:
+            self._tokens.discard(token)
         self.stats["completed"] += 1
         return result
 
@@ -355,6 +385,7 @@ class QueryServer:
         """
         write_lock = asyncio.Lock()
         tasks: set[asyncio.Task] = set()
+        self._connections[writer] = asyncio.current_task()
         try:
             while True:
                 line = await reader.readline()
@@ -379,6 +410,7 @@ class QueryServer:
             if tasks:
                 await asyncio.gather(*tasks, return_exceptions=True)
         finally:
+            self._connections.pop(writer, None)
             for task in tasks:
                 task.cancel()
             with suppress(Exception):

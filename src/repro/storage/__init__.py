@@ -75,7 +75,6 @@ def _serialized_form(document: Document) -> tuple[str, bool]:
     fingerprint (whitespace-only text nodes decide which
     ``keep_whitespace_text`` setting reproduces the original).
     """
-    document.renumber()
     xml = document.serialize()
     want = fragment_fingerprint(document.all_nodes())
     for keep_ws in (False, True):
@@ -110,7 +109,7 @@ def _document_entry(document: Document, shredded: ShreddedDocument,
     xml, keep_ws = _serialized_form(document)
     values = shredded.values
     heap = (values if isinstance(values, StringHeap)
-            else StringHeap.from_dict(values))
+            else StringHeap.from_column(values))
     items = sorted(shredded._element_index.items())
     elind_offsets = np.zeros(len(items) + 1, dtype="<i8")
     if items:
@@ -349,10 +348,17 @@ class MappedStoredDocument(StoredDocument):
                 self._region_indexes[config] = index
             return index
 
+    def apply(self, write) -> None:
+        """Run *write* on the DOM (its numbering is spliced) and detach:
+        the mapped columns are immutable, so derived structures
+        rebuild in memory on next use."""
+        with self._build_lock:
+            write(self.document)
+            self.invalidate()
+
     def invalidate(self) -> None:
         with self._build_lock:
             self._detached = True
-            self.document.renumber()
             self._shredded = None
             self._region_indexes.clear()
 

@@ -7,13 +7,17 @@ order between nodes of the same document is the ``pre`` order; across
 documents, the store's ``doc_id`` order.
 
 The DOM is mutable while a document is being built or constructed by a
-query; ``renumber()`` freezes the numbering (it is re-run after any
-structural change).
+query; ``renumber()`` numbers it once.  A stored document's writes go
+through :meth:`Document.insert_children` and
+:meth:`Document.remove_nodes`, which keep the numbering current by
+splicing it (cost: the written subtree plus one shift of the following
+nodes' ``pre``) and describe the change as a :class:`Splice` that the
+derived structures replay.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from repro.errors import ShredError
 from repro.xmldb.escape import escape_attribute, escape_text
@@ -82,9 +86,16 @@ class Node:
             node = node.parent
 
     def descendants(self) -> Iterator["Node"]:
-        for child in self.children:
-            yield child
-            yield from child.descendants()
+        """Descendants in document order (iterative: any depth)."""
+        open_ = [iter(self.children)]
+        while open_:
+            for node in open_[-1]:
+                yield node
+                if node.children:
+                    open_.append(iter(node.children))
+                    break
+            else:
+                open_.pop()
 
     def descendants_or_self(self) -> Iterator["Node"]:
         yield self
@@ -287,86 +298,192 @@ class Document(Node):
     # -- numbering -----------------------------------------------------------
 
     def renumber(self) -> None:
-        """Assign pre-order ranks, subtree sizes and levels.
+        """Assign pre-order ranks, subtree sizes and levels from scratch.
 
-        Attributes receive pre ranks immediately after their element (the
-        MonetDB attribute encoding), and are counted in the element's
-        subtree size, so that ``pre(v) < pre(a) <= pre(v) + size(v)``
-        holds for an attribute *a* of any element *v* or its descendants.
+        Run once when a document is built; writes through
+        :meth:`insert_children` and :meth:`remove_nodes` keep the
+        numbering current without a full walk.
         """
-        nodes: list[Node] = []
-
-        def walk(node: Node, level: int) -> int:
-            node.pre = len(nodes)
-            node.level = level
-            nodes.append(node)
-            count = 0
-            if isinstance(node, Element):
-                for attr in node.attributes:
-                    attr.pre = len(nodes)
-                    attr.level = level + 1
-                    attr.size = 0
-                    nodes.append(attr)
-                    count += 1
-            for child in node.children:
-                count += 1 + walk(child, level + 1)
-            node.size = count
-            return count
-
-        walk(self, 0)
-        self._nodes_by_pre = nodes
+        self._nodes_by_pre = renumber_fragment(self)
 
     def node_by_pre(self, pre: int) -> Node:
-        """The node with the given pre rank (after :meth:`renumber`)."""
-        if self._nodes_by_pre is None:
-            self.renumber()
-        return self._nodes_by_pre[pre]
+        """The node with the given pre rank."""
+        return self._numbered()[pre]
 
     @property
     def node_count(self) -> int:
-        if self._nodes_by_pre is None:
-            self.renumber()
-        return len(self._nodes_by_pre)
+        return len(self._numbered())
 
     def all_nodes(self) -> list[Node]:
+        """Every node in pre order (a copy: the numbering's own list is
+        replaced, never mutated, so a caller's snapshot stays whole)."""
+        return list(self._numbered())
+
+    def _numbered(self) -> list[Node]:
         if self._nodes_by_pre is None:
             self.renumber()
-        return list(self._nodes_by_pre)
+        return self._nodes_by_pre
+
+    # -- writes ----------------------------------------------------------------
+
+    def insert_children(self, blocks: list[tuple["Element", list[Node]]]
+                        ) -> "Splice":
+        """Append each block's roots to its parent element and splice
+        the numbering.
+
+        Every inserted subtree is numbered at its final offset, the
+        ``size`` of each parent and its ancestors grows by the block,
+        and the ``pre`` of every following node shifts; nothing else
+        is visited.  A block lands right after its parent's last
+        descendant; blocks landing at the same old rank go deepest
+        parent first, then in the given order (the order a sequence of
+        appends would produce).
+        """
+        old = self._numbered()
+        placed = sorted((parent.pre + parent.size + 1, -parent.level, i)
+                        for i, (parent, _roots) in enumerate(blocks))
+        nodes: list[Node] = []
+        spans: list[tuple[int, list[Node]]] = []
+        shift = prev = 0
+        for at, _depth, i in placed:
+            parent, roots = blocks[i]
+            nodes += _shifted(old[prev:at], shift)
+            block: list[Node] = []
+            for root in roots:
+                parent.append(root)
+                block += renumber_fragment(root, at + shift + len(block),
+                                           parent.level + 1)
+            for node in (parent, *parent.ancestors()):
+                node.size += len(block)
+            nodes += block
+            spans.append((at, block))
+            shift += len(block)
+            prev = at
+        nodes += _shifted(old[prev:], shift)
+        self._nodes_by_pre = nodes
+        return Splice(len(old), spans, [],
+                      [parent for parent, _roots in blocks],
+                      [root for _parent, roots in blocks for root in roots])
+
+    def remove_nodes(self, victims) -> "Splice":
+        """Detach every victim from its parent and splice the numbering.
+
+        A victim that is already detached (a repeat) is skipped; one
+        inside another victim is detached from it and needs no rank
+        work of its own.  The ``size`` of each removed subtree's
+        ancestors shrinks and the ``pre`` of every following node
+        shifts back.
+        """
+        old = self._numbered()
+        taken: list[tuple[int, int, Node, Node]] = []
+        for node in victims:
+            parent = node.parent
+            if parent is None:
+                continue
+            taken.append((node.pre, node.pre + node.size + 1, node, parent))
+            if isinstance(node, Attr):
+                parent.attributes.remove(node)
+            else:
+                parent.children.remove(node)
+            node.parent = None
+        taken.sort(key=lambda cut: cut[0])
+        outer: list[tuple[int, int, Node, Node]] = []
+        for cut in taken:
+            if not outer or cut[0] >= outer[-1][1]:
+                outer.append(cut)
+        nodes: list[Node] = []
+        shift = prev = 0
+        for lo, hi, _node, parent in outer:
+            nodes += _shifted(old[prev:lo], shift)
+            for node in (parent, *parent.ancestors()):
+                node.size -= hi - lo
+            shift -= hi - lo
+            prev = hi
+        nodes += _shifted(old[prev:], shift)
+        self._nodes_by_pre = nodes
+        return Splice(len(old), [], [(lo, hi) for lo, hi, _n, _p in outer],
+                      [parent for _lo, _hi, _n, parent in outer],
+                      [node for _lo, _hi, node, _p in outer])
 
     def __repr__(self) -> str:
         return f"<Document {self.uri!r} doc_id={self.doc_id}>"
 
 
-def renumber_fragment(root: Node) -> list[Node]:
-    """Assign local pre ranks to an orphan fragment; nodes in pre order.
+class Splice(NamedTuple):
+    """What one write did to a document's numbering.
 
-    The single numbering scheme for subtrees outside a document —
-    identical to :meth:`Document.renumber` (attributes directly after
-    their element, counted in the subtree size), so constructor
-    numbering, transient region indexes and on-demand shredding all
-    agree.  Re-running it on an already-numbered fragment is a no-op
-    reassignment.
+    Derived structures (the shred, region indexes) replay it on their
+    old rows: old rank *r* survives unless it lies in a ``cut``, and
+    moves by the rows inserted at or before it minus the rows cut
+    before it.
     """
-    nodes: list[Node] = []
 
-    def walk(node: Node, level: int) -> int:
-        node.pre = len(nodes)
-        node.level = level
-        nodes.append(node)
-        count = 0
-        if isinstance(node, Element):
-            for attr in node.attributes:
-                attr.pre = len(nodes)
-                attr.level = level + 1
-                attr.size = 0
-                nodes.append(attr)
-                count += 1
-        for child in node.children:
-            count += 1 + walk(child, level + 1)
-        node.size = count
-        return count
+    #: node count before the write
+    old_count: int
+    #: ``(old rank, nodes)``: nodes inserted, in pre order, before the
+    #: old row at that rank (ascending ranks)
+    inserted: list[tuple[int, list[Node]]]
+    #: ``[lo, hi)`` old rank ranges removed (ascending, disjoint)
+    cuts: list[tuple[int, int]]
+    #: the elements written under or removed from (still in the tree)
+    anchors: list[Node]
+    #: the inserted subtree roots, or the removed ones
+    roots: list[Node]
 
-    walk(root, 0)
+
+def _shifted(nodes: list[Node], shift: int) -> list[Node]:
+    if shift:
+        for node in nodes:
+            node.pre += shift
+    return nodes
+
+
+def renumber_fragment(root: Node, pre: int = 0, level: int = 0
+                      ) -> list[Node]:
+    """Number the subtree under *root*; return its nodes in pre order.
+
+    The one numbering walk: it numbers whole documents, constructed
+    orphan fragments and, at their final offset, subtrees a write
+    inserts.  Assigns pre-order ranks from *pre*, levels from *level*
+    and subtree sizes.  Attributes receive pre ranks immediately after
+    their element (the MonetDB attribute encoding) and are counted in
+    the element's subtree size, so that ``pre(v) < pre(a) <= pre(v) +
+    size(v)`` holds for an attribute *a* of any element *v* or its
+    descendants.  Iterative, so any depth numbers; re-running it on an
+    already-numbered fragment is a no-op reassignment.
+    """
+    nodes: list[Node] = [root]
+    append = nodes.append
+    root.pre = pre
+    root.level = level
+    if isinstance(root, Element):
+        for attr in root.attributes:
+            attr.pre = pre + len(nodes)
+            attr.level = level + 1
+            attr.size = 0
+            append(attr)
+    # (node, its children still to visit, their level); only elements
+    # below the root have children
+    open_ = [(root, iter(root.children), level + 1)]
+    while open_:
+        parent, children, depth = open_[-1]
+        for node in children:
+            node.pre = here = pre + len(nodes)
+            node.level = depth
+            append(node)
+            if isinstance(node, Element):
+                for attr in node.attributes:
+                    attr.pre = pre + len(nodes)
+                    attr.level = depth + 1
+                    attr.size = 0
+                    append(attr)
+                if node._children:
+                    open_.append((node, iter(node._children), depth + 1))
+                    break
+            node.size = pre + len(nodes) - 1 - here
+        else:
+            open_.pop()
+            parent.size = pre + len(nodes) - 1 - parent.pre
     return nodes
 
 
@@ -384,7 +501,7 @@ def document_order(nodes) -> list[Node]:
 
 __all__ = [
     "Node", "Text", "Comment", "ProcessingInstruction", "Attr", "Element",
-    "Document", "document_order", "renumber_fragment",
+    "Document", "Splice", "document_order", "renumber_fragment",
     "escape_text", "escape_attribute",
     "KIND_DOCUMENT", "KIND_ELEMENT", "KIND_TEXT", "KIND_COMMENT",
     "KIND_PI", "KIND_ATTRIBUTE",

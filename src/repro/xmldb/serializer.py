@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from repro.xmldb.dom import (
-    Attr,
     Comment,
     Document,
     Element,
@@ -20,9 +19,61 @@ def serialize(node: Node, *, indent: bool = False) -> str:
     :param indent: pretty-print with two-space indentation.  Text nodes
         suppress indentation of their element (mixed content is emitted
         verbatim to keep the string value intact).
+
+    Iterative (an explicit stack of pending work), so a tree of any
+    depth serializes.
     """
     parts: list[str] = []
-    _write(node, parts, 0, indent)
+    append = parts.append
+    # pending work, popped from the end: text to emit as is, a node to
+    # write flat, or ``(node, depth)`` to write indented at that depth
+    stack: list = [(node, 0) if indent else node]
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            append(item)
+            continue
+        if item.__class__ is tuple:
+            node, depth = item
+            pad = "  " * depth
+        else:
+            node, depth, pad = item, -1, ""
+        if isinstance(node, Text):
+            append(escape_text(node.text))
+        elif isinstance(node, Element):
+            attr_text = "".join(
+                f' {attr.name}="{escape_attribute(attr.value)}"'
+                for attr in node.attributes)
+            children = node.children
+            if not children:
+                append(f"{pad}<{node.tag}{attr_text}/>")
+                continue
+            append(f"{pad}<{node.tag}{attr_text}>")
+            if depth >= 0 and _has_element_only_content(node):
+                stack.append(f"\n{pad}</{node.tag}>")
+                for child in reversed(children):
+                    if not (isinstance(child, Text)
+                            and not child.text.strip()):
+                        stack.append((child, depth + 1))
+                        stack.append("\n")
+            else:
+                # mixed content (or no indenting): children go flat
+                stack.append(f"</{node.tag}>")
+                stack.extend(reversed(children))
+        elif isinstance(node, Document):
+            for child in reversed(node.children):
+                if depth >= 0:
+                    stack.append("\n")
+                    stack.append((child, depth))
+                else:
+                    stack.append(child)
+        elif isinstance(node, Comment):
+            append(f"{pad}<!--{node.text}-->")
+        elif isinstance(node, ProcessingInstruction):
+            data = f" {node.data}" if node.data else ""
+            append(f"{pad}<?{node.target}{data}?>")
+        else:
+            append(f'{node.name}="{escape_attribute(node.value)}"')
     return "".join(parts)
 
 
@@ -34,47 +85,3 @@ def _has_element_only_content(element: Element) -> bool:
         if isinstance(child, Element):
             has_child_element = True
     return has_child_element
-
-
-def _write(node: Node, parts: list[str], depth: int, indent: bool) -> None:
-    pad = "  " * depth if indent else ""
-    if isinstance(node, Document):
-        for child in node.children:
-            _write(child, parts, depth, indent)
-            if indent:
-                parts.append("\n")
-        return
-    if isinstance(node, Text):
-        parts.append(escape_text(node.text))
-        return
-    if isinstance(node, Comment):
-        parts.append(f"{pad}<!--{node.text}-->")
-        return
-    if isinstance(node, ProcessingInstruction):
-        data = f" {node.data}" if node.data else ""
-        parts.append(f"{pad}<?{node.target}{data}?>")
-        return
-    if isinstance(node, Attr):
-        parts.append(f'{node.name}="{escape_attribute(node.value)}"')
-        return
-
-    element: Element = node  # type: ignore[assignment]
-    attr_text = "".join(
-        f' {attr.name}="{escape_attribute(attr.value)}"'
-        for attr in element.attributes)
-    if not element.children:
-        parts.append(f"{pad}<{element.tag}{attr_text}/>")
-        return
-    pretty_children = indent and _has_element_only_content(element)
-    parts.append(f"{pad}<{element.tag}{attr_text}>")
-    for child in element.children:
-        if pretty_children:
-            if isinstance(child, Text) and not child.text.strip():
-                continue
-            parts.append("\n")
-            _write(child, parts, depth + 1, indent)
-        else:
-            _write(child, parts, 0, False)
-    if pretty_children:
-        parts.append(f"\n{pad}")
-    parts.append(f"</{element.tag}>")

@@ -35,6 +35,7 @@ from repro.xmldb.dom import (
     Element,
     Node,
     ProcessingInstruction,
+    Splice,
     Text,
     renumber_fragment,
 )
@@ -53,9 +54,10 @@ def freeze(*arrays: np.ndarray) -> None:
 class StringHeap:
     """Read-only ``pre -> str`` mapping over three frozen columns.
 
-    The storage representation of :attr:`ShreddedDocument.values`: the
-    pre ranks that carry a value (sorted), offsets into a UTF-8 heap,
-    and the heap bytes.  Strings decode lazily per lookup, so opening a
+    The storage representation of :attr:`ShreddedDocument.values` (a
+    shred built from the DOM holds an object column instead): the pre
+    ranks that carry a value (sorted), offsets into a UTF-8 heap, and
+    the heap bytes.  Strings decode lazily per lookup, so opening a
     memory-mapped store never touches the heap pages.
     """
 
@@ -68,9 +70,10 @@ class StringHeap:
         self.heap = heap
 
     @classmethod
-    def from_dict(cls, values: dict[int, str]) -> "StringHeap":
-        pres = np.asarray(sorted(values), dtype="<i8")
-        blobs = [values[int(p)].encode("utf-8") for p in pres]
+    def from_column(cls, values: np.ndarray) -> "StringHeap":
+        """The heap of a ``pre -> str | None`` object column."""
+        pres = np.flatnonzero(np.not_equal(values, None)).astype("<i8")
+        blobs = [values[p].encode("utf-8") for p in pres.tolist()]
         offsets = np.zeros(len(blobs) + 1, dtype="<i8")
         if blobs:
             np.cumsum([len(b) for b in blobs], out=offsets[1:])
@@ -110,9 +113,9 @@ class ShreddedDocument:
                  nodes: list[Node] | None = None,
                  root: Node | None = None):
         if nodes is None:
-            document.renumber()
+            # The document's numbering is kept current by its writes;
+            # the build only reads it.
             nodes = document.all_nodes()
-        n = len(nodes)
         self._document = document
         #: The fragment root: the document itself, or the orphan
         #: subtree's top node for constructed fragments.
@@ -122,65 +125,70 @@ class ShreddedDocument:
         #: ``(store path, uri)`` once the columns are store-backed —
         #: the handle worker processes use to re-open the same file.
         self._store_ref: tuple[str, str] | None = None
-        # Stored documents already cache their pre -> node list; only
-        # orphan fragments need the snapshot kept here.
-        self._nodes = None if document is not None else nodes
-        self.pre = np.arange(n, dtype=np.int64)
-        self.size = np.fromiter((node.size for node in nodes),
-                                dtype=np.int64, count=n)
-        self.level = np.fromiter((node.level for node in nodes),
-                                 dtype=np.int64, count=n)
-        self.kind = np.fromiter((node.kind for node in nodes),
-                                dtype=np.int8, count=n)
-        parent = np.empty(n, dtype=np.int64)
-        names: list[str] = []
-        name_ids: dict[str, int] = {}
-        name_col = np.full(n, -1, dtype=np.int32)
-        values: dict[int, str] = {}
-
-        for i, node in enumerate(nodes):
-            parent[i] = node.parent.pre if node.parent is not None else -1
-            name = None
-            if isinstance(node, Element):
-                name = node.tag
-            elif isinstance(node, Attr):
-                name = node.name
-                values[i] = node.value
-            elif isinstance(node, (Text, Comment)):
-                values[i] = node.text
-            elif isinstance(node, ProcessingInstruction):
-                name = node.target
-                values[i] = node.data
-            if name is not None:
-                nid = name_ids.setdefault(name, len(name_ids))
-                if nid == len(names):
-                    names.append(name)
-                name_col[i] = nid
-        self.parent = parent
-        self.names = names
-        self._name_ids = name_ids
-        self.name = name_col
-        self.values = values
+        #: The pre -> node snapshot these columns describe: a write
+        #: publishes a new document node list and a new shred, so a
+        #: reader holding this shred keeps decoding consistently.
+        self._nodes = nodes
+        self.pre = np.arange(len(nodes), dtype=np.int64)
+        (self.size, self.level, self.kind, self.parent, self.name,
+         self.names, self.values) = _node_columns(nodes)
+        self._name_ids = {nm: i for i, nm in enumerate(self.names)}
         freeze(self.pre, self.size, self.level, self.kind, self.parent,
-               self.name)
-
-        # element-name index: name id -> sorted pre array
-        element_mask = self.kind == Element.kind
+               self.name, self.values)
         self._kind_pres: dict[int, np.ndarray] = {}
         self._non_attribute: np.ndarray | None = None
-        self._element_index: dict[int, np.ndarray] = {}
-        if element_mask.any():
-            el_pres = self.pre[element_mask]
-            el_names = name_col[element_mask]
-            order = np.argsort(el_names, kind="stable")
-            el_pres, el_names = el_pres[order], el_names[order]
-            boundaries = np.flatnonzero(np.diff(el_names)) + 1
-            for chunk, nid in zip(
-                    np.split(el_pres, boundaries),
-                    el_names[np.concatenate(([0], boundaries))]):
-                entry = np.sort(chunk)
-                freeze(entry)
-                self._element_index[int(nid)] = entry
+        self._element_index = _element_index(self.pre, self.kind,
+                                             self.name)
+
+    def spliced(self, splice: Splice, ranks: np.ndarray,
+                nodes: list[Node]) -> "ShreddedDocument":
+        """The shred of this shred's document after the write *splice*.
+
+        Built from these frozen columns plus the inserted nodes' own
+        columns, or minus the cut rows — no walk over the unchanged
+        nodes.  *ranks* is :func:`rank_map` of *splice* and *nodes* the
+        document's new pre-order node list.  Kept rows move to their
+        new ranks and their parent ranks follow; the ancestors of every
+        write get their new ``size`` from the DOM; new names are
+        appended to the name dictionary; the ``values`` column moves
+        with the others and the element index is re-derived.  This
+        shred is left untouched.
+        """
+        n = len(nodes)
+        # an insertion keeps every old row (a view, no mask copy)
+        kept = (ranks >= 0) if splice.cuts else slice(None)
+        moved = ranks[kept]
+        added = [node for _at, block in splice.inserted for node in block]
+        at = np.fromiter((node.pre for node in added), dtype=np.int64,
+                         count=len(added))
+        size, level, kind, parent, name, names, values = _node_columns(added)
+        all_names = list(self.names)
+        name_ids = dict(self._name_ids)
+        for nm in names:
+            if nm not in name_ids:
+                name_ids[nm] = len(all_names)
+                all_names.append(nm)
+        recode = np.fromiter((name_ids[nm] for nm in names), dtype=np.int32,
+                             count=len(names))
+        if len(recode):
+            name = np.where(name >= 0, recode[name], -1)
+        old_parent = self.parent[kept]
+        size, level, kind, parent, name, values = (
+            _scatter(n, moved, old, at, new) for old, new in (
+                (self.size[kept], size), (self.level[kept], level),
+                (self.kind[kept], kind),
+                (np.where(old_parent >= 0, ranks[old_parent], -1), parent),
+                (self.name[kept], name), (self.values[kept], values)))
+        resized = {id(node): node for anchor in splice.anchors
+                   for node in (anchor, *anchor.ancestors())}
+        size[[node.pre for node in resized.values()]] = \
+            [node.size for node in resized.values()]
+        pre = np.arange(n, dtype=np.int64)
+        return ShreddedDocument.from_columns(
+            pre=pre, size=size, level=level, kind=kind, parent=parent,
+            name=name, names=all_names, values=values,
+            element_index=_element_index(pre, kind, name),
+            document=self._document, nodes=nodes)
 
     @classmethod
     def from_columns(cls, *, pre: np.ndarray, size: np.ndarray,
@@ -190,21 +198,24 @@ class ShreddedDocument:
                      element_index: dict[int, np.ndarray],
                      document: Document | None = None,
                      doc_factory=None,
-                     store_ref: tuple[str, str] | None = None
+                     store_ref: tuple[str, str] | None = None,
+                     nodes: list[Node] | None = None
                      ) -> "ShreddedDocument":
         """Rebuild a shred from previously materialized columns.
 
-        The storage layer's constructor: no DOM walk, no index build.
-        *values* is a :class:`StringHeap` (or a plain dict); when
-        *document* is absent, *doc_factory* supplies it lazily the
-        first time node decoding is requested.
+        The storage layer's constructor (and the splice's): no DOM
+        walk, no index build.  *values* is a :class:`StringHeap` or a
+        ``pre -> str | None`` object column; when *document* is absent,
+        *doc_factory* supplies it lazily the first time node decoding
+        is requested; *nodes*, when given, is the pre -> node snapshot
+        the columns describe.
         """
         self = object.__new__(cls)
         self._document = document
         self._root = document
         self._doc_factory = doc_factory if document is None else None
         self._store_ref = store_ref
-        self._nodes = None
+        self._nodes = nodes
         self.pre = pre
         self.size = size
         self.level = level
@@ -219,6 +230,8 @@ class ShreddedDocument:
         self._element_index = dict(element_index)
         freeze(self.pre, self.size, self.level, self.kind, self.parent,
                self.name)
+        if isinstance(values, np.ndarray):
+            freeze(values)
         return self
 
     @property
@@ -253,7 +266,10 @@ class ShreddedDocument:
         return self.names[nid] if nid >= 0 else None
 
     def value_of(self, pre: int) -> str | None:
-        return self.values.get(int(pre))
+        values = self.values
+        if isinstance(values, StringHeap):
+            return values.get(int(pre))
+        return values[pre]
 
     def elements_named(self, tag: str) -> np.ndarray:
         """Sorted pre ranks of elements with the given tag (element index)."""
@@ -314,8 +330,9 @@ class ShreddedDocument:
         """Approximate column footprint (shred-cache budgeting): the
         numeric columns plus the attribute/text value strings."""
         values = self.values
-        value_bytes = (values.nbytes if isinstance(values, StringHeap)
-                       else sum(len(v) for v in values.values()))
+        value_bytes = values.nbytes
+        if not isinstance(values, StringHeap):
+            value_bytes += sum(len(v) for v in values if v is not None)
         return int(self.pre.nbytes + self.size.nbytes + self.level.nbytes
                    + self.kind.nbytes + self.parent.nbytes
                    + self.name.nbytes + value_bytes)
@@ -349,6 +366,90 @@ class ShreddedDocument:
         clone._non_attribute = self._non_attribute
         clone._element_index = self._element_index
         return clone
+
+
+def _node_columns(nodes: list[Node]):
+    """``size, level, kind, parent, name, names, values`` of a pre-order
+    node list: the per-node columns (``values`` holds each node's string
+    value, ``None`` for elements and documents) and the names in
+    first-use order (``name`` holds their ids, -1 for unnamed kinds)."""
+    n = len(nodes)
+    size = np.fromiter((node.size for node in nodes), dtype=np.int64,
+                       count=n)
+    level = np.fromiter((node.level for node in nodes), dtype=np.int64,
+                        count=n)
+    kind = np.fromiter((node.kind for node in nodes), dtype=np.int8,
+                       count=n)
+    parent = np.empty(n, dtype=np.int64)
+    names: list[str] = []
+    name_ids: dict[str, int] = {}
+    name_col = np.full(n, -1, dtype=np.int32)
+    strings: list[str | None] = [None] * n
+    for i, node in enumerate(nodes):
+        parent[i] = node.parent.pre if node.parent is not None else -1
+        name = None
+        if isinstance(node, Element):
+            name = node.tag
+        elif isinstance(node, Attr):
+            name = node.name
+            strings[i] = node.value
+        elif isinstance(node, (Text, Comment)):
+            strings[i] = node.text
+        elif isinstance(node, ProcessingInstruction):
+            name = node.target
+            strings[i] = node.data
+        if name is not None:
+            nid = name_ids.setdefault(name, len(name_ids))
+            if nid == len(names):
+                names.append(name)
+            name_col[i] = nid
+    values = np.empty(n, dtype=object)
+    values[:] = strings
+    return size, level, kind, parent, name_col, names, values
+
+
+def _element_index(pre: np.ndarray, kind: np.ndarray,
+                   name: np.ndarray) -> dict[int, np.ndarray]:
+    """The element-name index: name id -> sorted, frozen pre array."""
+    index: dict[int, np.ndarray] = {}
+    element_mask = kind == Element.kind
+    if element_mask.any():
+        el_pres = pre[element_mask]
+        el_names = name[element_mask]
+        order = np.argsort(el_names, kind="stable")
+        el_pres, el_names = el_pres[order], el_names[order]
+        boundaries = np.flatnonzero(np.diff(el_names)) + 1
+        for chunk, nid in zip(
+                np.split(el_pres, boundaries),
+                el_names[np.concatenate(([0], boundaries))]):
+            freeze(chunk)
+            index[int(nid)] = chunk
+    return index
+
+
+def _scatter(n: int, moved: np.ndarray, old: np.ndarray, at: np.ndarray,
+             new: np.ndarray) -> np.ndarray:
+    """An *n*-row column: kept rows *old* at ranks *moved*, inserted
+    rows *new* at ranks *at*."""
+    column = np.empty(n, dtype=old.dtype)
+    column[moved] = old
+    column[at] = new
+    return column
+
+
+def rank_map(splice: Splice) -> np.ndarray:
+    """New pre rank of every old row of a spliced document; -1 for a
+    row the write removed."""
+    keep = np.ones(splice.old_count, dtype=bool)
+    shift = np.zeros(splice.old_count + 1, dtype=np.int64)
+    for lo, hi in splice.cuts:
+        keep[lo:hi] = False
+    for at, block in splice.inserted:
+        shift[at] += len(block)
+    ranks = np.cumsum(keep, dtype=np.int64) - 1 \
+        + np.cumsum(shift[:-1], dtype=np.int64)
+    ranks[~keep] = -1
+    return ranks
 
 
 def shred(document: Document) -> ShreddedDocument:

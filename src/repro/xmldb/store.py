@@ -12,11 +12,25 @@ The store owns everything the engine needs per document:
 Because the region representation is a *run-time* setting (a query's
 ``declare option`` preamble may change it), region indexes are built
 lazily per (document, config) pair and cached.
+
+Builds happen once per document; writes maintain what is built.  An
+``insert_nodes``/``delete_nodes`` write runs through
+:meth:`DocumentStore.touch`, which splices the DOM numbering, the
+shredded columns and every cached region index in place of the old
+ones (cost: the written subtrees plus numpy copies of the columns).
+Two cases still fall back to a lazy rebuild: a region index whose
+write changes a region with an endpoint outside the written subtrees
+(a start/end attribute of a kept element, or anything under a
+``<region>`` in element form), because the subtree alone cannot say
+what that region became; and the mmap backend, whose spill file is
+immutable and is re-spilled after a write.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Callable, Iterator
+
+import numpy as np
 
 from repro.exec import lockcheck
 from repro.config import (
@@ -25,17 +39,22 @@ from repro.config import (
     StandoffConfig,
     normalize_storage_backend,
 )
-from repro.core.region import Area, Region
-from repro.core.region_index import RegionIndex
-from repro.errors import RegionError, ReproError
-from repro.xmldb.dom import Document, Element
+from repro.core.region import Area
+from repro.core.region_index import RegionIndex, RegionTable
+from repro.errors import RegionError, ReproError, StorageFormatError
+from repro.xmldb.dom import Attr, Document, Element, Node, Splice
 from repro.xmldb.parser import parse_document
-from repro.xmldb.shred import ShreddedDocument, shred
+from repro.xmldb.shred import ShreddedDocument, rank_map, shred
 
 
-def extract_regions(document: Document, config: StandoffConfig = DEFAULT_CONFIG
+def extract_regions(source: Document | list[Node],
+                    config: StandoffConfig = DEFAULT_CONFIG
                     ) -> Iterator[tuple[int, int | float, int | float]]:
     """Yield ``(pre, start, end)`` for every area-annotation element.
+
+    *source* is a document (all of its nodes) or a pre-order node list
+    — the subtrees a write inserted, say.  The existing numbering is
+    read, never reassigned.
 
     Under the attribute representation an element is an area-annotation
     when it carries *both* the start and the end attribute; under the
@@ -44,8 +63,8 @@ def extract_regions(document: Document, config: StandoffConfig = DEFAULT_CONFIG
     region raise :class:`RegionError` — silently ignoring them would turn
     data errors into empty query results.
     """
-    document.renumber()
-    for node in document.descendants():
+    nodes = source.all_nodes() if isinstance(source, Document) else source
+    for node in nodes:
         if not isinstance(node, Element):
             continue
         if config.uses_region_elements:
@@ -85,6 +104,58 @@ def _check(start, end, node: Element) -> None:
             f"> end {end!r}")
 
 
+def _splice_is_local(splice: Splice, config: StandoffConfig) -> bool:
+    """Whether every region *splice* changes has both endpoints in the
+    written subtrees, so that dropping and adding their rows is the
+    whole index update.
+
+    It is not when the write adds or removes a start/end attribute of
+    an element it keeps (attribute form), or writes a ``<region>``
+    child, or anything under a region, start or end element (element
+    form): those change the region of an element outside the write.
+    """
+    if not config.uses_region_elements:
+        bounds = (config.start_name, config.end_name)
+        return not any(isinstance(root, Attr) and root.name in bounds
+                       for root in splice.roots)
+    if any(isinstance(root, Element) and root.tag == config.region_name
+           for root in splice.roots):
+        return False
+    tags = {config.region_name, config.start_name, config.end_name}
+    return not any(isinstance(node, Element) and node.tag in tags
+                   for anchor in splice.anchors
+                   for node in (anchor, *anchor.ancestors()))
+
+
+def _spliced_index(index: RegionIndex, config: StandoffConfig,
+                   splice: Splice, ranks: np.ndarray) -> RegionIndex | None:
+    """*index* after the write *splice*, or ``None`` when the config's
+    index must be rebuilt (see :func:`_splice_is_local`).
+
+    Rows of removed elements are dropped, the remaining ids move to
+    their new ranks, and the inserted subtrees' rows come from
+    :func:`extract_regions` over those subtrees alone.  A data error in
+    them (half a region, say) also returns ``None``: the lazy rebuild
+    raises it at read time, as a full build would.
+    """
+    if not _splice_is_local(splice, config):
+        return None
+    try:
+        added = RegionTable.from_rows(
+            (start, end, pre) for pre, start, end in extract_regions(
+                [node for _at, block in splice.inserted for node in block],
+                config))
+    except RegionError:
+        return None
+    table = index.table
+    ids = ranks[table.ids]
+    kept = (ids >= 0) if splice.cuts else slice(None)
+    return RegionIndex(RegionTable(
+        np.concatenate((table.starts[kept], added.starts)),
+        np.concatenate((table.ends[kept], added.ends)),
+        np.concatenate((ids[kept], added.ids))))
+
+
 @lockcheck.audit_lazy_stores(("_shredded", "_document"))
 class StoredDocument:
     """A document plus its derived structures, behind a storage seam.
@@ -105,14 +176,13 @@ class StoredDocument:
         self._region_indexes: dict[StandoffConfig, RegionIndex] = {}
         self.storage_backend = normalize_storage_backend(storage_backend)
         self._spill_path: str | None = None
-        # Serializes the lazy builds below.  They are not merely
-        # duplicated work when raced: both the shredder and
-        # extract_regions() call document.renumber(), which *mutates*
-        # the DOM's pre/size/level ranks while the other thread walks
-        # them — under concurrent queries (the serving layer) two
-        # first-touch threads could each build against a tree the
-        # other was renumbering.  Reentrant because region_index()
-        # may take it around _ensure_spilled().
+        # Serializes the lazy builds below with each other and with
+        # writes (apply/invalidate), which rewrite the DOM's
+        # pre/size/level ranks that the builds read: a first-touch
+        # build under concurrent queries (the serving layer) must never
+        # see a half-spliced numbering, and two must not both build.
+        # Reentrant because region_index() may take it around
+        # _ensure_spilled().
         self._build_lock = lockcheck.new_rlock("StoredDocument._build_lock")
 
     @property
@@ -171,6 +241,9 @@ class StoredDocument:
         to a store file, and re-opened memory-mapped; the in-memory DOM
         is kept for node decoding.  Custom standoff configs still build
         in memory (the store persists the default config's table).
+        A document the store format cannot hold stays in memory: a
+        write can leave adjacent text nodes, which the serialized text
+        the store keeps for DOM recovery would merge on reparse.
         Callers hold ``_build_lock``; the lock is re-entrant, so the
         method still takes it itself — the derived-structure stores
         below must never run unguarded.
@@ -180,7 +253,12 @@ class StoredDocument:
                 return
             from repro import storage
 
-            path, reader = storage.spill_document(self.document)
+            try:
+                path, reader = storage.spill_document(self.document)
+            except StorageFormatError:
+                if self._shredded is None:
+                    self._shredded = shred(self.document)
+                return
             self._spill_path = path
             self._shredded = reader.shredded(self.uri,
                                              document=self.document)
@@ -193,18 +271,51 @@ class StoredDocument:
         """The area of the node with the given pre rank, if annotated."""
         return self.region_index(config).area_of(pre)
 
-    def invalidate(self) -> None:
-        """Drop derived structures after a structural update.
+    def apply(self, write: Callable[[Document], Splice]) -> None:
+        """Run *write* on the DOM and maintain the derived structures.
 
-        The DOM is renumbered; the shredded columns and all region
-        indexes are rebuilt lazily on next use.  This is the
-        *per-document* maintenance cost the paper's §3.3 design keeps
-        local (contrast: the store-level global index rebuilds whole).
-        A spilled store file is stale after an update and is dropped
-        (the next use spills afresh).
+        *write* mutates the document through
+        :meth:`~repro.xmldb.dom.Document.insert_children` or
+        :meth:`~repro.xmldb.dom.Document.remove_nodes`, which splice the
+        numbering, and returns the :class:`~repro.xmldb.dom.Splice`.
+        Under the memory backend the built shred and every built region
+        index are then spliced too (:meth:`ShreddedDocument.spliced`,
+        :func:`_spliced_index`): the cost is the written subtrees plus
+        numpy copies of the columns, the paper's *per-document* index
+        maintenance (§3.3 (ii)) without a rebuild.  A region index
+        whose write changes a region reaching outside the written
+        subtrees is dropped and rebuilt on next use.  Each new
+        structure is published with one attribute store, so a reader
+        holding the old shred keeps consistent columns.  Under the
+        mmap backend the spill file is immutable: the derived
+        structures are dropped and rebuilt (and re-spilled) lazily.
         """
         with self._build_lock:
-            self.document.renumber()
+            splice = write(self.document)
+            if self.storage_backend == STORAGE_MMAP:
+                self.invalidate()
+                return
+            ranks = rank_map(splice)
+            if self._shredded is not None:
+                self._shredded = self._shredded.spliced(
+                    splice, ranks, self.document.all_nodes())
+            indexes = {}
+            for config, index in self._region_indexes.items():
+                index = _spliced_index(index, config, splice, ranks)
+                if index is not None:
+                    indexes[config] = index
+            self._region_indexes = indexes
+
+    def invalidate(self) -> None:
+        """Drop the derived structures; they rebuild lazily on next use.
+
+        The rebuild fallback of :meth:`apply`, taken under the mmap
+        backend only: a spill file is immutable, so after a write it is
+        stale and dropped, and the next use shreds and spills afresh.
+        The memory backend splices instead (the DOM numbering always
+        is), and drops single region indexes a write cannot splice.
+        """
+        with self._build_lock:
             self._shredded = None
             self._region_indexes.clear()
             self._drop_spill()
@@ -307,11 +418,16 @@ class DocumentStore:
     def uris(self) -> list[str]:
         return list(self._by_uri)
 
-    def touch(self, uri: str) -> StoredDocument:
-        """Record a structural update to *uri*: rebuild its derived
-        structures lazily and invalidate the collection-global index."""
+    def touch(self, uri: str, write: Callable[[Document], Splice]
+              ) -> StoredDocument:
+        """Run the structural update *write* on *uri* and invalidate
+        the collection-global index.
+
+        The document's own derived structures are spliced, not
+        rebuilt: see :meth:`StoredDocument.apply`.
+        """
         stored = self.get(uri)
-        stored.invalidate()
+        stored.apply(write)
         self.version += 1
         return stored
 

@@ -213,7 +213,7 @@ class DynamicContext:
         Stored documents use the store's cached index; constructed
         fragments get a transient index built (and cached) on demand.
         """
-        from repro.xmldb.dom import Document
+        from repro.xmldb.dom import Document, renumber_fragment
 
         if isinstance(root, Document):
             stored = self.store.by_document(root)
@@ -222,9 +222,13 @@ class DynamicContext:
         key = id(root)
         entry = self._transient_indexes.get(key)
         if entry is None or entry[0] is not root:
-            root_doc = _TransientFragment(root)
+            # An orphan subtree gets the shared local numbering, so its
+            # pre ranks agree with constructor output and
+            # shred-on-demand.
+            nodes = (root if isinstance(root, Document)
+                     else renumber_fragment(root))
             index = RegionIndex.build(
-                extract_regions(root_doc, self.standoff_config))
+                extract_regions(nodes, self.standoff_config))
             self._transient_indexes[key] = (root, index)
             return index
         return entry[1]
@@ -255,24 +259,3 @@ class DynamicContext:
             self._transient_shreds[key] = (root, shredded)
             return shredded
         return entry[1]
-
-
-class _TransientFragment:
-    """Adapter giving a bare subtree the Document-ish API that
-    :func:`~repro.xmldb.store.extract_regions` needs."""
-
-    def __init__(self, root: Node):
-        self._root = root
-
-    def renumber(self) -> None:
-        from repro.xmldb.dom import Document, renumber_fragment
-
-        if isinstance(self._root, Document):
-            self._root.renumber()
-            return
-        # Orphan subtree: the shared local numbering, so pre ranks are
-        # stable and agree with constructor output and shred-on-demand.
-        renumber_fragment(self._root)
-
-    def descendants(self):
-        return self._root.descendants_or_self()

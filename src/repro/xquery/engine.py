@@ -381,10 +381,16 @@ class Database:
         """Insert parsed *xml_fragment* under every node selected by
         *parent_query* (which must select elements of document *uri*).
 
-        Returns the number of insertion points.  All derived structures
-        of the document (shredded columns, region indexes) and the
-        collection-global index are invalidated — the per-document vs
-        global maintenance trade-off of §3.3 (ii).
+        Returns the number of insertion points.  The write splices the
+        document's derived structures instead of discarding them: the
+        DOM numbering shifts past each insertion, the shredded columns
+        gain the fragment's rows, and each cached region index gains
+        the fragment's regions — the local, per-document maintenance of
+        §3.3 (ii).  A region index is rebuilt on next use only when the
+        fragment changes a region of an element outside it (element
+        form: inserting under a ``<region>``, ``<start>`` or ``<end>``,
+        or a ``<region>`` child).  The collection-global index is
+        invalidated whole.
         """
         from repro.errors import XQueryTypeError
         from repro.xmldb.dom import Element
@@ -398,21 +404,26 @@ class Database:
                 raise XQueryTypeError(
                     "insert_nodes: parent query must select elements "
                     f"of {uri!r}")
-        for parent in parents:
-            for node in parse_fragment(xml_fragment):
-                parent.append(node)
         if parents:
-            self.store.touch(uri)
+            blocks = [(parent, parse_fragment(xml_fragment))
+                      for parent in parents]
+            self.store.touch(
+                uri, lambda document: document.insert_children(blocks))
         return len(parents)
 
     def delete_nodes(self, uri: str, query: str) -> int:
         """Delete every node selected by *query* from document *uri*.
 
-        Returns the number of deleted nodes; derived structures are
-        invalidated as for :meth:`insert_nodes`.
+        Returns the number of deleted nodes.  The derived structures
+        are spliced as for :meth:`insert_nodes`: the removed subtrees'
+        rows leave the shred and the region indexes and later ranks
+        shift back.  A region index is rebuilt on next use only when
+        the deletion changes a region of an element it keeps (removing
+        a start/end attribute, or, in element form, anything under a
+        ``<region>``, ``<start>`` or ``<end>``).
         """
         from repro.errors import XQueryTypeError
-        from repro.xmldb.dom import Attr, Document, Node
+        from repro.xmldb.dom import Document, Node
 
         stored = self.store.get(uri)
         victims = self.query(query)
@@ -422,19 +433,10 @@ class Database:
                 raise XQueryTypeError(
                     "delete_nodes: query must select non-document nodes "
                     f"of {uri!r}")
-        deleted = 0
-        for node in victims:
-            parent = node.parent
-            if parent is None:
-                continue
-            if isinstance(node, Attr):
-                parent.attributes.remove(node)
-            else:
-                parent.children.remove(node)
-            node.parent = None
-            deleted += 1
+        deleted = len({id(node) for node in victims})
         if deleted:
-            self.store.touch(uri)
+            self.store.touch(
+                uri, lambda document: document.remove_nodes(victims))
         return deleted
 
     def explain(self, text: str, *,

@@ -217,6 +217,9 @@ def _eval_flwor(expr: ast.FLWOR, ctx: DynamicContext) -> Sequence:
         else:
             binding = evaluate(clause.binding, scope)
             for position, item in enumerate(binding, start=1):
+                # Cancellation checkpoint: the tuple stream of nested
+                # for clauses grows as the product of their bindings.
+                check_cancelled()
                 inner = scope.child_scope()
                 inner.variables[clause.var] = [item]
                 if clause.position_var:

@@ -487,3 +487,57 @@ def test_concurrent_store_reader_facades(tmp_path):
         t.join()
     assert len({id(s) for s, _doc in results}) == 1
     assert len({id(doc) for _s, doc in results}) == 1
+
+
+# ----------------------------------------------------------------------
+# shutdown of the CLI server
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
+def test_cli_server_shuts_down_with_a_query_in_flight(tmp_path, signame):
+    """A signal stops ``repro.cli --serve`` within seconds even while a
+    long query runs: the query is cancelled through its token, the
+    server prints ``shutting down``, exits 0 and writes no traceback."""
+    import os
+    import signal
+    import socket
+    import subprocess
+    import sys
+
+    path = tmp_path / "w.xml"
+    path.write_text("<doc>" + "<w>a</w>" * 200 + "</doc>")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "--load", str(path),
+         "--serve", "--port", "0", "--serve-timeout", "0"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        env=env)
+    try:
+        line = ""
+        while not line.startswith("serving on"):
+            line = proc.stdout.readline().strip()
+            assert line, proc.stderr.read()
+        host, _, port = line.split()[-1].rpartition(":")
+        w = 'doc("w.xml")//w'
+        endless = f"count({w}[count({w}[count({w}) > 0]) > 0])"
+        with socket.create_connection((host, int(port)), timeout=30) as s:
+            f = s.makefile("rw")
+            f.write(json.dumps({"op": "query", "id": 1,
+                                "query": endless}) + "\n")
+            f.write(json.dumps({"op": "ping", "id": 2}) + "\n")
+            f.flush()
+            assert json.loads(f.readline())["id"] == 2
+            time.sleep(0.3)                  # the query is running
+            started = time.monotonic()
+            proc.send_signal(getattr(signal, signame))
+            out, err = proc.communicate(timeout=20)
+        assert time.monotonic() - started < 10
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 0, err
+    assert "shutting down" in out
+    assert "Traceback" not in err, err
